@@ -99,13 +99,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                         default="tuning_table.json",
                         help="where --autotune writes the table "
                              "(default: %(default)s)")
-    parser.add_argument("--plans", metavar="PATH", default=None,
-                        help="repro-plans/1 document (from 'python -m "
-                             "repro.analyze --dataflow --plans-out') used "
-                             "to pre-seed the tuning table; --autotune "
-                             "then skips statically classified buckets "
-                             "and fails unless that strictly reduced the "
-                             "warmup-simulation count")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the simulator's CPU-jitter RNG; "
                              "one value reproduces a whole run bit-for-bit "
@@ -128,22 +121,8 @@ def _figure_kwargs(name: str, quick: bool, seed: int = 0) -> dict:
 def _run_autotune(args: argparse.Namespace) -> int:
     """Train a tuning table, validate it against the fixed configs."""
     from repro.mpi.algorithms.autotune import (
-        AutotuneStats, autotune, check_ties_or_beats, compare_policies,
-        count_warmup_runs,
+        autotune, check_ties_or_beats, compare_policies,
     )
-
-    preseed_doc = None
-    if args.plans:
-        try:
-            with open(args.plans) as fh:
-                preseed_doc = json.load(fh)
-            if preseed_doc.get("schema") != "repro-plans/1":
-                raise ValueError(
-                    "not a repro-plans/1 document "
-                    f"(schema={preseed_doc.get('schema')!r})")
-        except (OSError, ValueError) as exc:
-            print(f"--plans {args.plans}: {exc}", file=sys.stderr)
-            return 2
 
     t0 = time.time()
     if args.profile:
@@ -152,9 +131,7 @@ def _run_autotune(args: argparse.Namespace) -> int:
         session.enable()
     try:
         print(f"== autotune sweep ({'quick' if args.quick else 'full'}) ==")
-        stats = AutotuneStats()
-        table = autotune(quick=args.quick, verbose=True,
-                         preseed=preseed_doc, stats=stats)
+        table = autotune(quick=args.quick, verbose=True)
         table.save(args.tuning_out)
         print(f"tuning table ({len(table)} buckets) written to "
               f"{args.tuning_out}")
@@ -176,17 +153,6 @@ def _run_autotune(args: argparse.Namespace) -> int:
                        if k.startswith("sparse_alltoall|"))
         print(f"sparse_alltoall trained {n_sparse} bucket(s); "
               f"winners: {sorted(sparse_winners)}")
-        if preseed_doc is not None:
-            cold = count_warmup_runs(quick=args.quick)
-            print(f"warmup simulations: {stats.warmup_runs} pre-seeded "
-                  f"vs {cold} cold "
-                  f"({stats.scenarios_skipped}/{stats.scenarios_total} "
-                  "scenario(s) skipped via static plans)")
-            if stats.warmup_runs >= cold:
-                print("pre-seeding did NOT reduce the warmup-simulation "
-                      "count (no sweep scenario landed in a statically "
-                      "classified bucket)")
-                return 1
         print()
 
         fig = compare_policies(args.tuning_out, quick=args.quick)
@@ -453,12 +419,11 @@ def main(argv: list[str]) -> int:
             from repro.prof import render_breakdown, session
 
             profile_report = session.report()
-            rows = session.breakdown_rows()
-            if rows:
+            if profile_report["breakdown"]:
                 print("== profile: pack/compute/wire/wait breakdown ==")
-                print(render_breakdown(rows))
+                print(render_breakdown(profile_report["breakdown"]))
                 ok = profile_report["breakdown_valid"]
-                print(f"breakdown consistency (sums within 1%): "
+                print(f"breakdown consistency (sums to elapsed): "
                       f"{'ok' if ok else 'FAILED'}")
                 print()
             if args.trace_out:

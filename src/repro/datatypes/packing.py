@@ -9,9 +9,9 @@ so every simulated experiment doubles as a data-correctness test.
 Data movement executes the :class:`repro.datatypes.ir.CopyProgram` compiled
 (and memoized process-wide) for the buffer's ``(datatype, count)`` structure:
 bulk slice copies and 2-D strided views for regular layouts, one cached
-gather index for irregular ones.  The legacy element-gather path
-(:meth:`TypedBuffer.pack_legacy`) is retained as the differential-testing
-reference -- the fuzz suite asserts both move identical bytes.
+gather index for irregular ones.  The test suite keeps the pre-IR
+element-gather path as its differential oracle (``pack_legacy`` in
+``tests/test_datatypes_ir.py``) and asserts both move identical bytes.
 """
 
 from __future__ import annotations
@@ -37,24 +37,6 @@ def _as_byte_view(buffer: np.ndarray) -> np.ndarray:
     if not arr.flags.c_contiguous:
         raise DatatypeError("buffer must be C-contiguous")
     return arr.reshape(-1).view(np.uint8)
-
-
-def _gather_index(blocks: BlockList) -> tuple[np.ndarray, int]:
-    """(index array, granularity): positions of payload units in the buffer.
-
-    ``index[i]`` is the buffer position (in units of ``granularity`` bytes)
-    of the i-th payload unit of the packed stream.
-    """
-    gran = blocks.granularity()
-    offs = blocks.offsets // gran
-    lens = blocks.lengths // gran
-    total = int(lens.sum())
-    # classic vectorised "ragged ranges" construction:
-    # index = concat(arange(off, off+len) for each block)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    index = np.arange(total, dtype=np.int64) + np.repeat(offs - starts, lens)
-    return index, gran
 
 
 class TypedBuffer:
@@ -92,8 +74,6 @@ class TypedBuffer:
                     f"buffer too small: datatype needs {end_needed} bytes, "
                     f"buffer has {self._bytes.size}"
                 )
-        self._index: Optional[np.ndarray] = None
-        self._gran: int = 1
 
     # -- properties ----------------------------------------------------------
 
@@ -149,10 +129,6 @@ class TypedBuffer:
             return 0
         return sig_crc(self.signature())
 
-    def _ensure_index(self) -> None:
-        if self._index is None and self._blocks is not None:
-            self._index, self._gran = _gather_index(self._blocks)
-
     # -- data movement ---------------------------------------------------------
 
     def pack(self) -> np.ndarray:
@@ -161,29 +137,6 @@ class TypedBuffer:
         if self._plan is None:
             return np.empty(0, dtype=np.uint8)
         return self._plan.program.pack(self._bytes, self.offset_bytes)
-
-    def pack_legacy(self) -> np.ndarray:
-        """The pre-IR element-gather pack (kept as the differential oracle)."""
-        if self._blocks is None:
-            return np.empty(0, dtype=np.uint8)
-        if self._blocks.num_blocks == 1:
-            off = int(self._blocks.offsets[0])
-            return self._bytes[off : off + self.nbytes].copy()
-        self._ensure_index()
-        if self._gran > 1:
-            units = self._unit_view()
-            packed = units[self._index]
-            return packed.view(np.uint8).reshape(-1)
-        return self._bytes[self._index].copy()
-
-    def _unit_view(self) -> np.ndarray:
-        """Void view at pack granularity.
-
-        Every block offset and end is a multiple of the granularity, so
-        trimming the tail remainder of the byte view never cuts a block.
-        """
-        usable = self._bytes.size - self._bytes.size % self._gran
-        return self._bytes[:usable].view(np.dtype((np.void, self._gran)))
 
     def unpack(self, data: np.ndarray) -> None:
         """Scatter contiguous ``data`` (uint8) back into the typed layout by
@@ -196,26 +149,6 @@ class TypedBuffer:
         if self._plan is None:
             return
         self._plan.program.unpack(self._bytes, self.offset_bytes, data)
-
-    def unpack_legacy(self, data: np.ndarray) -> None:
-        """The pre-IR element-scatter unpack (the differential oracle)."""
-        data = np.asarray(data).reshape(-1).view(np.uint8)
-        if data.size != self.nbytes:
-            raise DatatypeError(
-                f"unpack size mismatch: got {data.size} bytes, type holds {self.nbytes}"
-            )
-        if self._blocks is None:
-            return
-        if self._blocks.num_blocks == 1:
-            off = int(self._blocks.offsets[0])
-            self._bytes[off : off + self.nbytes] = data
-            return
-        self._ensure_index()
-        if self._gran > 1:
-            units = self._unit_view()
-            units[self._index] = data.view(np.dtype((np.void, self._gran)))
-        else:
-            self._bytes[self._index] = data
 
     def extract(self) -> np.ndarray:
         """Alias of :meth:`pack` (reads the payload without sending it)."""

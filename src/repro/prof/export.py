@@ -169,8 +169,10 @@ def aggregate_breakdown(rows: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def render_breakdown(rows: Iterable[Dict[str, Any]]) -> str:
-    """A Fig. 13-style text table from :func:`aggregate_breakdown` rows."""
-    agg = aggregate_breakdown(rows)
+    """A Fig. 13-style text table from :func:`breakdown` rows, or from
+    their :func:`aggregate_breakdown` when the caller already has it."""
+    rows = list(rows)
+    agg = rows if rows and "pack_pct" in rows[0] else aggregate_breakdown(rows)
     header = f"{'op':<22} {'calls':>6} {'elapsed(s)':>12} " \
              f"{'pack%':>7} {'comp%':>7} {'wire%':>7} {'wait%':>7}"
     lines = [header, "-" * len(header)]
@@ -183,9 +185,10 @@ def render_breakdown(rows: Iterable[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def validate_breakdown(rows: Iterable[Dict[str, Any]], rel_tol: float = 0.01) -> bool:
+def validate_breakdown(rows: Iterable[Dict[str, Any]], rel_tol: float = 1e-9) -> bool:
     """True iff every row's components sum to its elapsed time within
-    ``rel_tol`` (the acceptance bound is 1%)."""
+    ``rel_tol``.  The interval-union decomposition is exact by
+    construction, so the default only forgives float rounding."""
     for row in rows:
         total = row["pack"] + row["compute"] + row["wire"] + row["wait"]
         if abs(total - row["elapsed"]) > rel_tol * max(row["elapsed"], 1e-30):

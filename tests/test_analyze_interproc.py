@@ -1,26 +1,21 @@
 """Tests for the interprocedural layer: call graph, transitive
 summaries, cross-function/cross-file rule propagation, the LNT007
-unused-suppression lint, deterministic emitters, and the repro-plans/1
-static->runtime pre-seeding loop."""
+unused-suppression lint, and deterministic emitters."""
 
-import json
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.analyze.dataflow import (
     Project,
     analyze_file,
     analyze_paths,
     analyze_source,
-    analyze_tree,
     compute_summaries,
     module_envs,
     strongly_connected,
 )
 from repro.analyze.dataflow.driver import analyze_source_set
-from repro.analyze.emit import report_to_dicts, to_plans
+from repro.analyze.emit import report_to_dicts
 from repro.analyze.findings import Report
 from repro.analyze.suppress import collect_suppressions
 
@@ -461,131 +456,3 @@ def test_report_dicts_are_sorted_and_deduped():
     dicts = report_to_dicts(report)
     assert [(d["path"], d["line"]) for d in dicts] == \
         [("a.py", 2), ("a.py", 5), ("z.py", 9)]
-
-
-def test_to_plans_schema_and_determinism():
-    source = textwrap.dedent("""
-        def exchange(comm, n):
-            counts = [4096] + [1] * 7
-            recv = object()
-            send = object()
-            yield from comm.allgatherv(send, recv, counts)
-    """)
-    plans1, plans2 = [], []
-    analyze_source(source, "m.py", plans=plans1)
-    analyze_source(source, "m.py", plans=plans2)
-    doc1, doc2 = to_plans(plans1), to_plans(plans2)
-    assert doc1 == doc2
-    doc = json.loads(doc1)
-    assert doc["schema"] == "repro-plans/1"
-    (key, bucket), = doc["buckets"].items()
-    assert key.startswith("allgatherv|p8|")
-    assert key.endswith("|outlier")
-    assert bucket["algorithm"]  # adaptive prediction present
-    assert bucket["sites"] == 1
-
-
-def test_to_plans_disagreeing_sites_emit_null_algorithm():
-    plans = []
-    analyze_source(textwrap.dedent("""
-        def a(comm):
-            counts = [4096] + [1] * 7
-            yield from comm.allgatherv(object(), object(), counts)
-    """), "m.py", plans=plans)
-    # same bucket, forged disagreement
-    import copy
-
-    other = copy.deepcopy(plans[0])
-    other.decisions = {"adaptive": "ring"}
-    plans[0].decisions = {"adaptive": "recursive_doubling"}
-    other.line = plans[0].line + 10
-    doc = json.loads(to_plans(plans + [other]))
-    (bucket,) = doc["buckets"].values()
-    assert bucket["algorithm"] is None
-    assert bucket["sites"] == 2
-
-
-# -- repro-plans/1 pre-seeding the autotuner ----------------------------------
-
-PLANS_DOC = {
-    "schema": "repro-plans/1",
-    "plans": [],
-    "buckets": {
-        "allgatherv|p8|b15|outlier": {
-            "algorithm": "dissemination", "profile": "outlier", "sites": 1},
-        "allgatherv|p8|b6|uniform": {
-            "algorithm": None, "profile": "uniform", "sites": 2},
-    },
-}
-
-
-def test_preseed_seeds_untrained_buckets_only():
-    from repro.mpi.algorithms.tuning import TuningTable
-
-    table = TuningTable()
-    table.record("allgatherv|p8|b15|outlier", {"ring": 2e-6})
-    seeded = table.preseed(PLANS_DOC)
-    assert seeded == 0  # trained bucket wins; null-algorithm bucket skipped
-    fresh = TuningTable()
-    assert fresh.preseed(PLANS_DOC) == 1
-    assert fresh.lookup("allgatherv|p8|b15|outlier") == "dissemination"
-    assert fresh.source("allgatherv|p8|b15|outlier") == "static"
-    with pytest.raises(ValueError, match="repro-plans/1"):
-        fresh.preseed({"schema": "nope"})
-
-
-def test_measurement_upgrades_static_entry():
-    from repro.mpi.algorithms.tuning import TuningTable
-
-    table = TuningTable()
-    table.preseed(PLANS_DOC)
-    key = "allgatherv|p8|b15|outlier"
-    table.record(key, {"ring": 1e-6, "dissemination": 2e-6})
-    assert table.source(key) == "measured"
-    assert table.lookup(key) == "ring"
-
-
-def test_autotuned_policy_reports_static_reason():
-    from repro.mpi import MPIConfig
-    from repro.mpi.algorithms import (
-        AutotunedPolicy, SelectionContext, TuningTable, bucket_key,
-    )
-
-    config = MPIConfig.optimized().with_(selection_policy="autotuned")
-    table = TuningTable()
-    ctx = SelectionContext(collective="allgatherv", size=8,
-                           volumes=[4096] + [1] * 7)
-    doc = {"schema": "repro-plans/1", "plans": [], "buckets": {
-        bucket_key(ctx): {"algorithm": "ring", "profile": "outlier",
-                          "sites": 1}}}
-    table.preseed(doc)
-    pol = AutotunedPolicy(config, table=table)
-    decision = pol.decide(ctx)
-    assert decision.reason == "table:static"
-    assert decision.algorithm == "ring"
-    # the cache remembers the reason verbatim
-    assert pol.decide(ctx).reason == "table:static"
-
-
-def test_preseeded_autotune_skips_warmups():
-    """The static->runtime contract: pre-seeding with the tree's own
-    extracted plans reaches a table with strictly fewer warmup
-    simulations than a cold sweep."""
-    from repro.mpi.algorithms.autotune import (
-        AutotuneStats, autotune, count_warmup_runs,
-    )
-
-    plans = []
-    analyze_tree([str(TESTS.parent / "src"), str(TESTS.parent / "examples"),
-                  str(TESTS.parent / "tests")], Report(), plans)
-    doc = json.loads(to_plans(plans))
-    assert doc["buckets"], "tree should yield at least one static bucket"
-
-    stats = AutotuneStats()
-    table = autotune(quick=True, preseed=doc, stats=stats)
-    cold = count_warmup_runs(quick=True)
-    assert stats.preseeded_keys  # something was seeded
-    assert stats.scenarios_skipped >= 1
-    assert stats.warmup_runs < cold
-    # skipped scenarios keep their static entry; measured ones upgrade
-    assert any(table.source(k) == "static" for k in stats.preseeded_keys)

@@ -32,7 +32,7 @@ def test_profile_emit_json_and_trace(tmp_path, capsys):
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "pack/compute/wire/wait breakdown" in out
-    assert "breakdown consistency (sums within 1%): ok" in out
+    assert "breakdown consistency (sums to elapsed): ok" in out
 
     doc = json.loads(report.read_text())
     assert doc["schema"] == "repro-bench/1"

@@ -41,6 +41,66 @@ D = DOUBLE
 
 # -- helpers ------------------------------------------------------------------
 
+def _gather_index(blocks):
+    """(index array, granularity): positions of payload units in the buffer.
+
+    ``index[i]`` is the buffer position (in units of ``granularity`` bytes)
+    of the i-th payload unit of the packed stream.
+    """
+    gran = blocks.granularity()
+    offs = blocks.offsets // gran
+    lens = blocks.lengths // gran
+    total = int(lens.sum())
+    # classic vectorised "ragged ranges" construction:
+    # index = concat(arange(off, off+len) for each block)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    index = np.arange(total, dtype=np.int64) + np.repeat(offs - starts, lens)
+    return index, gran
+
+
+def _unit_view(tb, gran):
+    """Void view of ``tb``'s bytes at pack granularity.
+
+    Every block offset and end is a multiple of the granularity, so
+    trimming the tail remainder of the byte view never cuts a block.
+    """
+    usable = tb._bytes.size - tb._bytes.size % gran
+    return tb._bytes[:usable].view(np.dtype((np.void, gran)))
+
+
+def pack_legacy(tb):
+    """The pre-IR element-gather pack: the differential oracle."""
+    if tb.count == 0:
+        return np.empty(0, dtype=np.uint8)
+    blocks = tb.blocks
+    if blocks.num_blocks == 1:
+        off = int(blocks.offsets[0])
+        return tb._bytes[off : off + tb.nbytes].copy()
+    index, gran = _gather_index(blocks)
+    if gran > 1:
+        return _unit_view(tb, gran)[index].view(np.uint8).reshape(-1)
+    return tb._bytes[index].copy()
+
+
+def unpack_legacy(tb, data):
+    """The pre-IR element-scatter unpack: the differential oracle."""
+    data = np.asarray(data).reshape(-1).view(np.uint8)
+    assert data.size == tb.nbytes
+    if tb.count == 0:
+        return
+    blocks = tb.blocks
+    if blocks.num_blocks == 1:
+        off = int(blocks.offsets[0])
+        tb._bytes[off : off + tb.nbytes] = data
+        return
+    index, gran = _gather_index(blocks)
+    if gran > 1:
+        _unit_view(tb, gran)[index] = data.view(np.dtype((np.void, gran)))
+    else:
+        tb._bytes[index] = data
+
+
 def roundtrip_identical(dt, count=1, offset_bytes=0):
     """pack/unpack/extract via the compiled program vs the legacy gather
     path, byte for byte, on a deterministic pattern buffer."""
@@ -50,7 +110,7 @@ def roundtrip_identical(dt, count=1, offset_bytes=0):
     legacy_tb = TypedBuffer(src.copy(), dt, count=count,
                             offset_bytes=offset_bytes)
     packed = tb.pack()
-    packed_legacy = legacy_tb.pack_legacy()
+    packed_legacy = pack_legacy(legacy_tb)
     assert packed.tobytes() == packed_legacy.tobytes()
     assert tb.extract().tobytes() == packed.tobytes()
 
@@ -61,7 +121,7 @@ def roundtrip_identical(dt, count=1, offset_bytes=0):
     b = TypedBuffer(np.zeros(need, dtype=np.uint8), dt, count=count,
                     offset_bytes=offset_bytes)
     a.unpack(wire)
-    b.unpack_legacy(wire)
+    unpack_legacy(b, wire)
     assert a._bytes.tobytes() == b._bytes.tobytes()
 
 

@@ -299,6 +299,11 @@ def test_tuning_table_roundtrip(tmp_path):
     loaded = TuningTable.load(path)
     assert loaded.lookup("allgatherv|p8|b15|outlier") == "dissemination"
     assert loaded.cost_model["alpha"] == 1e-6
+    # tables written before entries dropped their "source" key still load
+    legacy = TuningTable.from_dict({"schema": "repro-tuning/1", "entries": {
+        "k": {"algorithm": "ring", "latency_us": {"ring": 1.0},
+              "scenarios": 1, "source": "measured"}}})
+    assert legacy.lookup("k") == "ring"
     with pytest.raises(ValueError, match="repro-tuning/1"):
         TuningTable.from_dict({"schema": "nope"})
 

@@ -104,6 +104,10 @@ def test_validate_breakdown_catches_drift():
     rows[0]["wait"] = 3.0                          # 10% short
     assert not validate_breakdown(rows)
     assert validate_breakdown(rows, rel_tol=0.2)
+    rows[0]["wait"] = 3.95                         # 0.5% short
+    assert not validate_breakdown(rows)
+    rows[0]["wait"] = 4.0 + 1e-15                  # float rounding only
+    assert validate_breakdown(rows)
 
 
 def test_aggregate_and_render():
@@ -119,6 +123,7 @@ def test_aggregate_and_render():
     text = render_breakdown(rows)
     assert "allgatherv" in text
     assert "wait%" in text
+    assert render_breakdown(agg) == text   # pre-aggregated rows render alike
 
 
 def test_wait_for_peers_report():

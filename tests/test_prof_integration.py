@@ -225,7 +225,7 @@ def test_collective_breakdown_sums_within_tolerance():
         assert recv[displs[4]] == 5.0                # payload correct
     rows = prof.breakdown("collective")
     assert len(rows) == n                            # one row per rank
-    assert validate_breakdown(rows)                  # sums within 1%
+    assert validate_breakdown(rows)                  # sums to elapsed
     assert {r["op"] for r in rows} == {"allgatherv"}
     # the collective window covers the whole call on every rank
     for r in rows:
