@@ -39,7 +39,9 @@ ranks are flagged by pointing the paper's section 4.2.1 outlier detector
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.prof.export import PACK_NAMES
@@ -204,13 +206,29 @@ class CriticalPath:
 
 # -- graph construction ------------------------------------------------------
 
-def _busy_intervals(profiler) -> Dict[int, List[_Busy]]:
+#: one rank's busy intervals sorted by ``(t_end, t_start)``, their ends,
+#: and ``floor[k]`` = the earliest start among ``intervals[k:]``
+_RankBusy = Tuple[List[_Busy], List[float], List[float]]
+
+#: one rank's operation windows sorted by start, their starts, and
+#: ``reach[k]`` = the latest end among ``windows[:k + 1]``
+_RankOps = Tuple[List[Tuple[float, float, int, str]], List[float], List[float]]
+
+_NO_BUSY: _RankBusy = ([], [], [])
+_NO_OPS: _RankOps = ([], [], [])
+
+
+def _busy_intervals(profiler) -> Dict[int, _RankBusy]:
     """Per-rank busy intervals: CPU spans plus wire transfers.
 
     A transfer contributes an interval to *both* endpoints: on the
     destination it is an arrival (jumping the walk to the sender), on the
     source it is send-port occupancy (no jump).  Self-transfers (local
     copies) stay local.
+
+    ``ends`` and ``floor`` both never decrease, so the intervals ending at
+    or after ``t`` and starting before it lie in the slice from
+    ``bisect_left(ends, t)`` to ``bisect_left(floor, t)``.
     """
     by_rank: Dict[int, List[_Busy]] = {}
     for s in profiler.tracer.spans:
@@ -231,12 +249,16 @@ def _busy_intervals(profiler) -> Dict[int, List[_Busy]]:
         if ev.src != ev.dst:
             by_rank.setdefault(ev.src, []).append(
                 _Busy(ev.t_start, ev.t_end, "wire", name, msg_id=ev.msg_id))
-    for intervals in by_rank.values():
+    out: Dict[int, _RankBusy] = {}
+    for rank, intervals in by_rank.items():
         intervals.sort(key=lambda b: (b.t_end, b.t_start))
-    return by_rank
+        floor = list(accumulate((b.t_start for b in reversed(intervals)), min))
+        floor.reverse()
+        out[rank] = (intervals, [b.t_end for b in intervals], floor)
+    return out
 
 
-def _op_windows(profiler) -> Dict[int, List[Tuple[float, float, int, str]]]:
+def _op_windows(profiler) -> Dict[int, _RankOps]:
     """Per-rank operation spans (collective/petsc/solver/p2p), innermost
     resolvable: ``(t_start, t_end, depth, name)`` sorted by start."""
     by_rank: Dict[int, List[Tuple[float, float, int, str]]] = {}
@@ -245,18 +267,21 @@ def _op_windows(profiler) -> Dict[int, List[Tuple[float, float, int, str]]]:
             continue
         by_rank.setdefault(s.rank, []).append(
             (s.t_start, s.t_end, s.depth, s.name))
-    for windows in by_rank.values():
+    out: Dict[int, _RankOps] = {}
+    for rank, windows in by_rank.items():
         windows.sort()
-    return by_rank
+        out[rank] = (windows, [w[0] for w in windows],
+                     list(accumulate((w[1] for w in windows), max)))
+    return out
 
 
-def _op_at(windows: Dict[int, List[Tuple[float, float, int, str]]],
-           rank: int, t: float) -> str:
-    """The innermost (deepest) operation span on ``rank`` covering ``t``."""
+def _op_at(ops: Dict[int, _RankOps], rank: int, t: float) -> str:
+    """The innermost (deepest) operation span on ``rank`` covering ``t``;
+    of equally deep ones, the last in start order."""
+    windows, starts, reach = ops.get(rank, _NO_OPS)
     best = None
-    for t0, t1, depth, name in windows.get(rank, ()):
-        if t0 > t:
-            break
+    for k in range(bisect_left(reach, t), bisect_right(starts, t)):
+        _t0, t1, depth, name = windows[k]
         if t1 >= t and (best is None or depth >= best[0]):
             best = (depth, name)
     return best[1] if best is not None else "(program)"
@@ -281,11 +306,10 @@ def critical_path(profiler, max_segments: int = 1_000_000) -> CriticalPath:
     # the run's makespan: the latest event end anywhere
     makespan = 0.0
     end_rank = 0
-    for rank, intervals in sorted(busy.items()):
-        for b in intervals:
-            if b.t_end > makespan:
-                makespan = b.t_end
-                end_rank = rank
+    for rank, (_intervals, ends, _floor) in sorted(busy.items()):
+        if ends[-1] > makespan:
+            makespan = ends[-1]
+            end_rank = rank
     label = getattr(profiler, "label", None)
     if makespan <= 0.0:
         return CriticalPath(0.0, nranks, [], label=label)
@@ -294,12 +318,15 @@ def critical_path(profiler, max_segments: int = 1_000_000) -> CriticalPath:
     segments: List[Segment] = []
     rank, t = end_rank, makespan
     while t > eps and len(segments) < max_segments:
-        intervals = busy.get(rank, ())
+        intervals, ends, floor = busy.get(rank, _NO_BUSY)
+        cut = t - eps
+        first = bisect_left(ends, cut)
         # 1. a busy interval still running at t explains the progress;
         #    prefer CPU over wire, then the latest start (innermost)
         cover = None
-        for b in intervals:
-            if b.t_end >= t - eps and b.t_start < t - eps:
+        for k in range(first, bisect_left(floor, cut, first)):
+            b = intervals[k]
+            if b.t_start < cut:
                 kind = 0 if b.category != "wire" else 1
                 key = (kind, -b.t_start)
                 if cover is None or key < cover[0]:
@@ -318,10 +345,7 @@ def critical_path(profiler, max_segments: int = 1_000_000) -> CriticalPath:
                 rank = b.src  # message edge: hand over to the sender
             continue
         # 2. idle: wait back to the previous event end on this rank
-        prev = 0.0
-        for b in intervals:
-            if b.t_end < t - eps and b.t_end > prev:
-                prev = b.t_end
+        prev = max(0.0, ends[first - 1]) if first else 0.0
         segments.append(Segment(rank, prev, t, "wait", "wait",
                                 _op_at(windows, rank, t)))
         t = prev

@@ -21,6 +21,8 @@ Two consumers of a :class:`repro.prof.Profiler`'s data:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.prof.spans import Span
@@ -73,6 +75,50 @@ def _subtract(intervals: Sequence[Interval], holes: Sequence[Interval]) -> List[
 
 # -- breakdown attribution ---------------------------------------------------
 
+_PACK, _COMPUTE, _WIRE = 0, 1, 2
+
+
+class _RankIndex:
+    """One rank's CPU spans and wire transfers, sorted by start.
+
+    ``reach[i]`` is the largest end among the first ``i + 1`` intervals, so
+    it never decreases: every interval before the first ``reach > lo``
+    ends at or before ``lo``, and every interval from the first
+    ``start >= hi`` on starts at or after ``hi``.  :meth:`window` returns
+    the slice between the two -- a superset of the intervals that overlap
+    ``[lo, hi)``, which :func:`_clip` then filters exactly as it would
+    filter the whole rank.
+    """
+
+    __slots__ = ("starts", "reach", "items")
+
+    def __init__(self, items: List[Tuple[float, float, int]]):
+        items.sort(key=lambda item: item[0])
+        self.items = items
+        self.starts = [s for s, _e, _k in items]
+        self.reach = list(accumulate((e for _s, e, _k in items), max))
+
+    def window(self, lo: float, hi: float) -> List[Tuple[float, float, int]]:
+        first = bisect_right(self.reach, lo)
+        return self.items[first:bisect_left(self.starts, hi, first)]
+
+
+def _rank_index(profiler) -> Dict[int, _RankIndex]:
+    """Per-rank :class:`_RankIndex` over closed CPU spans (tagged pack or
+    compute by :data:`PACK_NAMES`) and wire transfers; a transfer counts on
+    both endpoints, a self-transfer once."""
+    items: Dict[int, List[Tuple[float, float, int]]] = {}
+    for s in profiler.tracer.spans:
+        if s.category == "cpu" and not s.open:
+            kind = _PACK if s.name in PACK_NAMES else _COMPUTE
+            items.setdefault(s.rank, []).append((s.t_start, s.t_end, kind))
+    for ev in getattr(profiler, "transfers", []):
+        items.setdefault(ev.src, []).append((ev.t_start, ev.t_end, _WIRE))
+        if ev.dst != ev.src:
+            items.setdefault(ev.dst, []).append((ev.t_start, ev.t_end, _WIRE))
+    return {rank: _RankIndex(lst) for rank, lst in items.items()}
+
+
 def breakdown(profiler, category: str = "collective") -> List[Dict[str, Any]]:
     """Per-(invocation, rank) wait-vs-transfer attribution rows.
 
@@ -94,33 +140,20 @@ def breakdown(profiler, category: str = "collective") -> List[Dict[str, Any]]:
       happening (the skew/serialisation cost of sections 3.2 and 4.2).
     """
     tracer = profiler.tracer
-    transfers = getattr(profiler, "transfers", [])
     targets = [s for s in tracer.spans if s.category == category and not s.open]
     if not targets:
         return []
-
-    # pre-index CPU spans and transfers by rank
-    cpu_by_rank: Dict[int, List[Span]] = {}
-    for s in tracer.spans:
-        if s.category == "cpu" and not s.open:
-            cpu_by_rank.setdefault(s.rank, []).append(s)
-    wire_by_rank: Dict[int, List[Interval]] = {}
-    for ev in transfers:
-        wire_by_rank.setdefault(ev.src, []).append((ev.t_start, ev.t_end))
-        if ev.dst != ev.src:
-            wire_by_rank.setdefault(ev.dst, []).append((ev.t_start, ev.t_end))
+    index = _rank_index(profiler)
 
     rows: List[Dict[str, Any]] = []
     for span in targets:
         rank = span.rank
         lo, hi = span.t_start, span.t_end
         elapsed = hi - lo
-        cpu_spans = cpu_by_rank.get(rank, [])
-        pack_iv = _union(_clip(((s.t_start, s.t_end) for s in cpu_spans
-                                if s.name in PACK_NAMES), lo, hi))
-        comp_iv = _union(_clip(((s.t_start, s.t_end) for s in cpu_spans
-                                if s.name not in PACK_NAMES), lo, hi))
-        wire_iv = _union(_clip(wire_by_rank.get(rank, ()), lo, hi))
+        window = index[rank].window(lo, hi) if rank in index else ()
+        pack_iv, comp_iv, wire_iv = (
+            _union(_clip([(s, e) for s, e, k in window if k == kind], lo, hi))
+            for kind in (_PACK, _COMPUTE, _WIRE))
         pack = _length(pack_iv)
         compute = _length(_subtract(comp_iv, pack_iv))
         cpu_iv = _union(pack_iv + comp_iv)
@@ -341,10 +374,21 @@ def _flow_events(prof, pid: int, tids: Dict[Any, int],
 
 
 def write_chrome_trace(path: str, profilers) -> Dict[str, Any]:
-    """Serialise :func:`chrome_trace` to ``path``; returns the object."""
+    """Serialise :func:`chrome_trace` to ``path``; returns the object.
+
+    The bytes are those of ``json.dumps(obj)``, but each event goes through
+    the C encoder on its own (``json.dump`` streams through the pure-Python
+    one), and the whole document is never held as one string.
+    """
     obj = chrome_trace(profilers)
     with open(path, "w") as fh:
-        json.dump(obj, fh)
+        fh.write('{"traceEvents": [')
+        sep = ""
+        for event in obj["traceEvents"]:
+            fh.write(sep)
+            fh.write(json.dumps(event))
+            sep = ", "
+        fh.write('], "displayTimeUnit": %s}' % json.dumps(obj["displayTimeUnit"]))
     return obj
 
 

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.mpi import Cluster, MPIConfig
-from repro.prof import Profiler, critical_path
+from repro.prof import Profiler, critical, critical_path
 from repro.prof.critical import (
     SEGMENT_CATEGORIES,
     CriticalPath,
@@ -16,7 +18,7 @@ from repro.prof.critical import (
     report,
     write_report,
 )
-from repro.prof.spans import Tracer
+from repro.prof.spans import Span, Tracer
 from repro.util import CostModel
 
 NRANKS = 8
@@ -211,3 +213,106 @@ def test_segment_duration_property():
     empty = CriticalPath(0.0, 0, [])
     assert empty.by_rank() == {}
     assert empty.by_op() == {}
+
+
+# -- the bisect-windowed walk against the full-scan walk ---------------------
+
+def _op_at_reference(windows, rank, t):
+    best = None
+    for t0, t1, depth, name in windows.get(rank, ()):
+        if t0 > t:
+            break
+        if t1 >= t and (best is None or depth >= best[0]):
+            best = (depth, name)
+    return best[1] if best is not None else "(program)"
+
+
+def critical_path_reference(profiler, max_segments=1_000_000):
+    """The pre-bisect walk, which scans every interval on the rank for
+    every segment: the differential oracle.  Interval lists come from the
+    module's own builders (sorted exactly as before)."""
+    busy = {r: v[0] for r, v in critical._busy_intervals(profiler).items()}
+    windows = {r: v[0] for r, v in critical._op_windows(profiler).items()}
+    nranks = (max(busy) + 1) if busy else 0
+    makespan = 0.0
+    end_rank = 0
+    for rank, intervals in sorted(busy.items()):
+        for b in intervals:
+            if b.t_end > makespan:
+                makespan = b.t_end
+                end_rank = rank
+    if makespan <= 0.0:
+        return CriticalPath(0.0, nranks, [])
+    eps = makespan * 1e-12
+
+    segments = []
+    rank, t = end_rank, makespan
+    while t > eps and len(segments) < max_segments:
+        intervals = busy.get(rank, ())
+        cover = None
+        for b in intervals:
+            if b.t_end >= t - eps and b.t_start < t - eps:
+                kind = 0 if b.category != "wire" else 1
+                key = (kind, -b.t_start)
+                if cover is None or key < cover[0]:
+                    cover = (key, b)
+        if cover is not None:
+            b = cover[1]
+            lo = max(b.t_start, 0.0)
+            owner = b.src if (b.category == "wire" and b.src is not None) else rank
+            segments.append(Segment(owner, lo, t, b.category, b.name,
+                                    _op_at_reference(windows, rank, t),
+                                    b.msg_id))
+            t = lo
+            if b.category == "wire" and b.src is not None:
+                rank = b.src
+            continue
+        prev = 0.0
+        for b in intervals:
+            if b.t_end < t - eps and b.t_end > prev:
+                prev = b.t_end
+        segments.append(Segment(rank, prev, t, "wait", "wait",
+                                _op_at_reference(windows, rank, t)))
+        t = prev
+    if t > eps:
+        segments.append(Segment(rank, 0.0, t, "wait", "wait",
+                                _op_at_reference(windows, rank, t)))
+    segments.reverse()
+    return CriticalPath(makespan, nranks, segments)
+
+
+_TIMES = st.integers(0, 10).map(lambda k: k * 0.1)
+
+
+@st.composite
+def causal_profiles(draw):
+    """Overlapping CPU spans, nested operation spans and transfers (self-
+    transfers, shared endpoints and ties included) over three ranks."""
+    spans = []
+    for _ in range(draw(st.integers(0, 16))):
+        t0, t1 = sorted((draw(_TIMES), draw(_TIMES)))
+        category = draw(st.sampled_from(["cpu", "cpu", "collective", "p2p"]))
+        name = draw(st.sampled_from(
+            ["pack", "compute"] if category == "cpu" else ["bcast", "isend"]))
+        rank = draw(st.integers(0, 2))
+        spans.append(Span(id=len(spans), parent=None, category=category,
+                          name=name, rank=rank, track=(rank, "main"),
+                          t_start=t0, t_end=t1, depth=draw(st.integers(0, 2)),
+                          attrs={"msg_id": len(spans)}))
+    transfers = []
+    for i in range(draw(st.integers(0, 10))):
+        t0, t1 = sorted((draw(_TIMES), draw(_TIMES)))
+        transfers.append(SimpleNamespace(
+            src=draw(st.integers(0, 2)), dst=draw(st.integers(0, 2)),
+            t_start=t0, t_end=t1, msg_id=i))
+    return SimpleNamespace(tracer=SimpleNamespace(spans=spans),
+                           transfers=transfers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(causal_profiles(), st.sampled_from([1_000_000, 2]))
+def test_critical_path_matches_full_scan_reference(prof, max_segments):
+    crit = critical_path(prof, max_segments=max_segments)
+    reference = critical_path_reference(prof, max_segments=max_segments)
+    assert (crit.makespan, crit.nranks) == (reference.makespan, reference.nranks)
+    assert repr(crit.segments) == repr(reference.segments)

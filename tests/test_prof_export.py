@@ -4,6 +4,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.prof import export
 from repro.prof.export import (
@@ -16,7 +18,7 @@ from repro.prof.export import (
     wait_for_peers_report,
     write_chrome_trace,
 )
-from repro.prof.spans import Tracer
+from repro.prof.spans import Span, Tracer
 
 
 class FakeEngine:
@@ -323,3 +325,155 @@ def test_single_event_trace():
     slices = [e for e in chrome_trace(prof)["traceEvents"] if e["ph"] == "X"]
     assert len(slices) == 1
     assert slices[0]["name"] == "barrier"
+
+
+# -- the windowed breakdown against the quadratic definition ----------------
+
+def breakdown_reference(profiler, category="collective"):
+    """The pre-index breakdown, which clips every CPU span and transfer on
+    the rank for every target: the differential oracle."""
+    _union, _clip, _length, _subtract = (
+        export._union, export._clip, export._length, export._subtract)
+    tracer = profiler.tracer
+    transfers = getattr(profiler, "transfers", [])
+    targets = [s for s in tracer.spans if s.category == category and not s.open]
+    if not targets:
+        return []
+
+    # pre-index CPU spans and transfers by rank
+    cpu_by_rank = {}
+    for s in tracer.spans:
+        if s.category == "cpu" and not s.open:
+            cpu_by_rank.setdefault(s.rank, []).append(s)
+    wire_by_rank = {}
+    for ev in transfers:
+        wire_by_rank.setdefault(ev.src, []).append((ev.t_start, ev.t_end))
+        if ev.dst != ev.src:
+            wire_by_rank.setdefault(ev.dst, []).append((ev.t_start, ev.t_end))
+
+    rows = []
+    for span in targets:
+        rank = span.rank
+        lo, hi = span.t_start, span.t_end
+        elapsed = hi - lo
+        cpu_spans = cpu_by_rank.get(rank, [])
+        pack_iv = _union(_clip(((s.t_start, s.t_end) for s in cpu_spans
+                                if s.name in PACK_NAMES), lo, hi))
+        comp_iv = _union(_clip(((s.t_start, s.t_end) for s in cpu_spans
+                                if s.name not in PACK_NAMES), lo, hi))
+        wire_iv = _union(_clip(wire_by_rank.get(rank, ()), lo, hi))
+        pack = _length(pack_iv)
+        compute = _length(_subtract(comp_iv, pack_iv))
+        cpu_iv = _union(pack_iv + comp_iv)
+        wire = _length(_subtract(wire_iv, cpu_iv))
+        busy = _length(_union(cpu_iv + wire_iv))
+        wait = max(0.0, elapsed - busy)
+        rows.append({
+            "op": span.name,
+            "rank": rank,
+            "t_start": lo,
+            "elapsed": elapsed,
+            "pack": pack,
+            "compute": compute,
+            "wire": wire,
+            "wait": wait,
+            "attrs": dict(span.attrs),
+        })
+    return rows
+
+
+#: a coarse grid of inexact binary fractions, so that intervals often share
+#: endpoints (a span ending exactly at a target's start, starting exactly at
+#: its end, zero-length spans) and sums round
+_TIMES = st.integers(0, 12).map(lambda k: k * 0.1)
+
+#: CPU spans live on ranks 0-2; rank 3 only has targets and transfers
+_CPU_RANKS, _ALL_RANKS = st.integers(0, 2), st.integers(0, 3)
+
+
+@st.composite
+def _interval(draw):
+    t0, t1 = sorted((draw(_TIMES), draw(_TIMES)))
+    return t0, t1
+
+
+@st.composite
+def attribution_profiles(draw):
+    """A profile of targets, nested/overlapping CPU spans and transfers
+    (self-transfers included) over a few ranks; some spans stay open."""
+    spans = []
+
+    def add(category, name, rank):
+        t0, t1 = draw(_interval())
+        if draw(st.integers(0, 9)) == 0:
+            t1 = None                                    # still open
+        spans.append(Span(id=len(spans), parent=None, category=category,
+                          name=name, rank=rank, track=(rank, "main"),
+                          t_start=t0, t_end=t1, attrs={"i": len(spans)}))
+
+    for _ in range(draw(st.integers(0, 6))):
+        add(draw(st.sampled_from(["collective", "p2p"])),
+            draw(st.sampled_from(["allgatherv", "isend"])), draw(_ALL_RANKS))
+    for _ in range(draw(st.integers(0, 14))):
+        add("cpu", draw(st.sampled_from(sorted(PACK_NAMES) + ["compute"])),
+            draw(_CPU_RANKS))
+    spans = draw(st.permutations(spans))
+    transfers = [xfer(draw(_ALL_RANKS), draw(_ALL_RANKS), *draw(_interval()))
+                 for _ in range(draw(st.integers(0, 8)))]
+    return SimpleNamespace(tracer=SimpleNamespace(spans=spans),
+                           transfers=transfers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attribution_profiles(), st.sampled_from(["collective", "p2p", "cpu"]))
+def test_breakdown_matches_quadratic_reference_exactly(prof, category):
+    rows = breakdown(prof, category)
+    reference = breakdown_reference(prof, category)
+    assert rows == reference
+    assert repr(rows) == repr(reference)                 # bit for bit
+    assert validate_breakdown(rows)
+
+
+def test_breakdown_boundary_touching_spans_are_excluded():
+    """Spans ending exactly at the target's start or starting exactly at
+    its end contribute nothing; a zero-length span inside contributes
+    nothing; a rank with transfers but no CPU spans still gets its wire."""
+    def span(i, category, name, rank, t0, t1):
+        return Span(id=i, parent=None, category=category, name=name,
+                    rank=rank, track=(rank, "main"), t_start=t0, t_end=t1)
+
+    spans = [
+        span(0, "collective", "allgatherv", 0, 0.3, 0.7),
+        span(1, "cpu", "pack", 0, 0.1, 0.3),
+        span(2, "cpu", "compute", 0, 0.7, 0.9),
+        span(3, "cpu", "pack", 0, 0.5, 0.5),
+        span(4, "collective", "allgatherv", 1, 0.3, 0.7),
+    ]
+    prof = SimpleNamespace(tracer=SimpleNamespace(spans=spans), transfers=[
+        xfer(1, 1, 0.4, 0.6), xfer(0, 1, 0.0, 0.3), xfer(1, 0, 0.7, 1.0)])
+    rows = breakdown(prof)
+    assert rows == breakdown_reference(prof)
+    assert [(r["pack"], r["compute"], r["wire"]) for r in rows] == [
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.6 - 0.4)]
+
+
+# -- the trace file is json.dumps of the trace object ------------------------
+
+def test_write_chrome_trace_bytes_equal_json_dumps(tmp_path):
+    """Several profilers, flow events and attrs that need ``_json_safe``
+    (tuples, non-str keys, reprs, non-finite floats): the streamed file
+    is byte for byte ``json.dumps(chrome_trace(...))``."""
+    prof, _sp = scripted_profiler()
+    marker = object()
+    with prof.tracer.span("cpu", "pack", 0, shape=(4, (2, 2)),
+                          table={1: "a", (2, 3): [marker]}, dtype=marker,
+                          ratio=float("inf"), note="caf\u00e9 \"q\""):
+        pass
+    profs = [prof, messaging_profiler(), empty_profiler()]
+    path = tmp_path / "trace.json"
+    write_chrome_trace(str(path), profs)
+    assert path.read_bytes() == json.dumps(chrome_trace(profs)).encode()
+    assert any(e.get("cat") == "flow" for e in chrome_trace(profs)["traceEvents"])
+    empty = tmp_path / "empty.json"
+    write_chrome_trace(str(empty), [])
+    assert empty.read_bytes() == json.dumps(chrome_trace([])).encode()
