@@ -155,7 +155,7 @@ def engine_for(typed, cost: CostModel, dual_context: bool) -> _EngineBase:
     stream the legacy flatten produced, keeping the quadratic-re-search
     versus constant-look-ahead pins exactly where the paper puts them.
     """
-    return make_engine(typed.blocks, cost, dual_context)
+    return make_engine(typed.plan.blocks, cost, dual_context)
 
 
 def unpack_stage_cost(nbytes: int, nblocks: int, cost: CostModel, contiguous: bool) -> float:

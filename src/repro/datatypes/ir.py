@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.datatypes.flatten import BlockList, merge_adjacent
+from repro.prof import session as _prof_session
 
 __all__ = [
     "Block",
@@ -619,9 +620,15 @@ def lower_deoptimized(node: IRNode) -> CopyProgram:
 
 
 class CompiledPlan:
-    """Everything the stack needs about one (structure, count) pair."""
+    """Everything the stack needs about one (structure, count) pair.
 
-    __slots__ = ("key", "ir", "blocks", "program", "raw_blocks")
+    Offsets are relative to the datatype origin: a buffer applies its own
+    displacement.  ``lo`` and ``hi`` are the extent bounds -- the lowest
+    block offset and the highest block end -- so a buffer checks that the
+    layout fits in O(1).
+    """
+
+    __slots__ = ("key", "ir", "blocks", "program", "raw_blocks", "lo", "hi")
 
     def __init__(self, key, ir: IRNode, blocks: BlockList,
                  program: CopyProgram, raw_blocks: int):
@@ -630,6 +637,8 @@ class CompiledPlan:
         self.blocks = blocks
         self.program = program
         self.raw_blocks = raw_blocks
+        self.lo = int(blocks.offsets.min())
+        self.hi = int((blocks.offsets + blocks.lengths).max())
 
     @property
     def coalesced_ratio(self) -> float:
@@ -673,27 +682,19 @@ def cache_stats() -> Dict[str, int]:
     return {"entries": len(_CACHE), "hits": _HITS, "misses": _MISSES}
 
 
-def _session_registry():
-    from repro.prof import session
-
-    if not session.is_enabled():
-        return None
-    return session.registry()
-
-
 def _note_hit() -> None:
     global _HITS
     _HITS += 1
-    reg = _session_registry()
-    if reg is not None:
-        reg.counter("repro_datatype_ir_cache_hits_total").inc()
+    if _prof_session.is_enabled():
+        _prof_session.registry().counter(
+            "repro_datatype_ir_cache_hits_total").inc()
 
 
 def _note_compile(plan: CompiledPlan, wall: float) -> None:
     global _MISSES
     _MISSES += 1
-    reg = _session_registry()
-    if reg is not None:
+    if _prof_session.is_enabled():
+        reg = _prof_session.registry()
         reg.counter("repro_datatype_ir_compile_total").inc()
         reg.counter("repro_datatype_ir_cache_misses_total").inc()
         reg.histogram("repro_datatype_ir_compile_seconds").observe(wall)

@@ -43,7 +43,11 @@ class TypedBuffer:
     """``(buffer, count, datatype)`` -- the MPI communication triple.
 
     ``buffer`` may be any C-contiguous numpy array; ``offset_bytes`` lets a
-    view start inside it (MPI's ``buf + displacement`` idiom).
+    view start inside it (MPI's ``buf + displacement`` idiom).  The buffer
+    keeps ``(plan, offset_bytes)``: the compiled plan is shared by every
+    equal-structure buffer at any displacement, and the copy ops apply the
+    offset when they run.  The bounds check is O(1) against the plan's
+    extent bounds.
     """
 
     def __init__(
@@ -60,41 +64,55 @@ class TypedBuffer:
         self.count = count
         self.offset_bytes = int(offset_bytes)
         self._bytes = _as_byte_view(self.buffer)
+        #: the absolute (shifted) blocks, built on first read of ``blocks``
+        self._blocks: Optional[BlockList] = None
         if count == 0:
             self._plan: Optional[_ir.CompiledPlan] = None
-            self._blocks: Optional[BlockList] = None
-        else:
-            self._plan = _ir.compile_datatype(datatype, count)
-            shared = self._plan.blocks
-            self._blocks = (shared.shifted(self.offset_bytes)
-                            if self.offset_bytes else shared)
-            end_needed = int((self._blocks.offsets + self._blocks.lengths).max())
-            if end_needed > self._bytes.size:
-                raise DatatypeError(
-                    f"buffer too small: datatype needs {end_needed} bytes, "
-                    f"buffer has {self._bytes.size}"
-                )
+            return
+        plan = self._plan = _ir.compile_datatype(datatype, count)
+        start = self.offset_bytes + plan.lo
+        if start < 0:
+            raise DatatypeError(
+                f"buffer underrun: datatype starts at byte {start}, "
+                f"before the start of the buffer"
+            )
+        end_needed = self.offset_bytes + plan.hi
+        if end_needed > self._bytes.size:
+            raise DatatypeError(
+                f"buffer too small: datatype needs {end_needed} bytes, "
+                f"buffer has {self._bytes.size}"
+            )
 
     # -- properties ----------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
         """Payload size in bytes."""
-        return 0 if self._blocks is None else self._blocks.size
+        return 0 if self._plan is None else self._plan.program.nbytes
 
     @property
     def blocks(self) -> BlockList:
-        if self._blocks is None:
+        """The blocks at their absolute offsets in the buffer.
+
+        Shift-invariant queries (sizes, block counts, packed positions)
+        should read ``plan.blocks`` instead; this list is built on first
+        use and cached.
+        """
+        if self._plan is None:
             raise DatatypeError("zero-count buffer has no blocks")
+        if self._blocks is None:
+            shared = self._plan.blocks
+            self._blocks = (shared.shifted(self.offset_bytes)
+                            if self.offset_bytes else shared)
         return self._blocks
 
     def is_contiguous(self) -> bool:
-        return self._blocks is not None and self._blocks.num_blocks == 1
+        return self._plan is not None and self._plan.blocks.num_blocks == 1
 
     @property
     def num_blocks(self) -> int:
         """Contiguous blocks in the flattened layout (0 for zero-count)."""
-        return 0 if self._blocks is None else self._blocks.num_blocks
+        return 0 if self._plan is None else self._plan.blocks.num_blocks
 
     @property
     def plan(self) -> Optional[_ir.CompiledPlan]:
@@ -103,18 +121,17 @@ class TypedBuffer:
 
     def layout_summary(self) -> dict:
         """Compact layout description (used as profiling span attributes)."""
-        if self._blocks is None:
+        if self._plan is None:
             return {"nbytes": 0, "blocks": 0, "mean_block": 0.0,
                     "contiguous": True}
-        nb = self._blocks.num_blocks
+        nb = self._plan.blocks.num_blocks
         summary = {
-            "nbytes": self._blocks.size,
+            "nbytes": self.nbytes,
             "blocks": nb,
-            "mean_block": self._blocks.size / nb,
+            "mean_block": self.nbytes / nb,
             "contiguous": nb == 1,
         }
-        if self._plan is not None:
-            summary.update(self._plan.info())
+        summary.update(self._plan.info())
         return summary
 
     def signature(self) -> TypeSignature:

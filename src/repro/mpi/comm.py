@@ -55,6 +55,10 @@ ANY_TAG = -1
 #: tags at or above this value are reserved for collective operations
 _COLLECTIVE_TAG_BASE = 1_000_000
 
+#: the null profiler's shared inert span: unprofiled sends and unpacks
+#: enter it without building span attributes
+_NO_SPAN = NULL_PROFILER.span("p2p", "", -1)
+
 
 class MPIError(RuntimeError):
     """Erroneous use of the message-passing API."""
@@ -251,8 +255,6 @@ class Cluster:
             from repro.faults.injector import FaultInjector
             self.fault_injector = FaultInjector(fault_plan, self)
             self.fault_injector.install()
-        # wire transfers fan out through the observer machinery ("transfer")
-        self.net.add_transfer_listener(self._on_transfer)
         self._comms = [Comm(self, r) for r in range(nranks)]
         # a process-wide profiling session (repro.prof.session) auto-attaches
         attach_if_enabled(self)
@@ -288,10 +290,22 @@ class Cluster:
         :class:`repro.mpi.trace.MessageTrace` and
         :class:`repro.prof.Profiler` -- all ordinary subscribers; nothing
         monkey-patches ``net.transfer`` anymore.
+
+        The first observer binds the hooks: until then :meth:`_notify` is
+        a no-op and the wire has no transfer listener for the cluster.
         """
+        if not self._observers:
+            self._notify = self._fan_out
+            # wire transfers fan out through the observers ("transfer")
+            self.net.add_transfer_listener(self._on_transfer)
         self._observers.append(observer)
 
-    def _notify(self, event: str, *args: Any) -> None:
+    @staticmethod
+    def _notify(event: str, *args: Any) -> None:
+        """Send ``event`` to the observers; :meth:`add_observer` rebinds
+        this no-op to :meth:`_fan_out`."""
+
+    def _fan_out(self, event: str, *args: Any) -> None:
         for obs in self._observers:
             fn = getattr(obs, "on_" + event, None)
             if fn is not None:
@@ -756,13 +770,16 @@ class Comm:
         prof = self.cluster.profiler
         msg_id = self.cluster._new_msg_id()
 
-        # IR-plan attribution rides on the isend span (never as new "cpu"
-        # span names, which would distort the pack/wait breakdown)
-        plan_attrs = (tb.plan.info()
-                      if prof.enabled and tb.plan is not None else {})
-        with prof.span("p2p", "isend", self.grank,
-                       dest=self._to_global(dest), tag=tag, nbytes=nbytes,
-                       msg_id=msg_id, **plan_attrs):
+        if prof.enabled:
+            # IR-plan attribution rides on the isend span (never as new
+            # "cpu" span names, which would distort the pack/wait breakdown)
+            plan_attrs = {} if tb.plan is None else tb.plan.info()
+            span = prof.span("p2p", "isend", self.grank,
+                             dest=self._to_global(dest), tag=tag,
+                             nbytes=nbytes, msg_id=msg_id, **plan_attrs)
+        else:
+            span = _NO_SPAN
+        with span:
             if prof.enabled:
                 prof.count("repro_send_messages_total")
                 prof.count("repro_send_bytes_total", nbytes)
@@ -1021,15 +1038,18 @@ class Comm:
         # overlap the receiver's own flow (and each other)
         tb = rrec.tb
         if rec.nbytes > 0 and not tb.is_contiguous():
-            first, last = tb.blocks.blocks_in_range(0, rec.nbytes)
+            first, last = tb.plan.blocks.blocks_in_range(0, rec.nbytes)
             seconds = unpack_stage_cost(rec.nbytes, last - first, cost, contiguous=False)
             scaled = self.net.cpu_seconds(rec.dst, seconds)
             self.cluster.ledgers[rec.dst].charge("pack", scaled)
             if prof.enabled:
                 prof.count("repro_unpack_bytes_total", rec.nbytes)
-            with prof.span("cpu", "unpack", rec.dst, lane="io",
-                           src=rec.src, nbytes=rec.nbytes,
-                           msg_id=rec.msg_id):
+                span = prof.span("cpu", "unpack", rec.dst, lane="io",
+                                 src=rec.src, nbytes=rec.nbytes,
+                                 msg_id=rec.msg_id)
+            else:
+                span = _NO_SPAN
+            with span:
                 yield Delay(scaled)
 
         # functional delivery

@@ -74,7 +74,7 @@ def mpi_pack(
         out[position:position + tb.nbytes] = tb.pack()
 
     _timed_move(comm, tb, _move)
-    nblocks = tb.blocks.num_blocks if tb.count else 0
+    nblocks = tb.num_blocks
     yield from comm.cpu(
         tb.nbytes * comm.cost.copy_byte + nblocks * comm.cost.block_overhead,
         "pack",
@@ -101,7 +101,7 @@ def mpi_unpack(
         )
     _timed_move(comm, tb,
                 lambda: tb.unpack(src[position:position + tb.nbytes]))
-    nblocks = tb.blocks.num_blocks if tb.count else 0
+    nblocks = tb.num_blocks
     yield from comm.cpu(
         tb.nbytes * comm.cost.copy_byte + nblocks * comm.cost.block_overhead,
         "pack",

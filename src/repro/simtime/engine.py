@@ -18,12 +18,16 @@ PETSc) be written in a direct blocking style::
         yield from comm.send(data, dest=2, tag=7)
 
 The engine is fully deterministic: events at equal timestamps fire in the
-order they were scheduled.
+order they were scheduled.  Events due at the current time (zero delays,
+and delays too small to move the clock) skip the heap and wait in a FIFO
+ready queue; :meth:`Engine.run` fires the heap's entries for the current
+time before the queue, which is exactly the heap's ``(time, seq)`` order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -97,7 +101,7 @@ class SimFuture:
 
         Used to abandon races (e.g. a retransmit timer whose ack arrived
         first).  Safe against the original event firing later: timers
-        created by :meth:`Engine.timeout` guard their heap entry with a
+        created by :meth:`Engine.timeout` guard their event with a
         ``done`` check, so nothing resolves twice.  Returns False if the
         future had already resolved.
         """
@@ -195,10 +199,12 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: future events: ``(time, seq, fn)`` with ``time > now`` when pushed
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
+        #: events due at ``now``, in the order they were scheduled
+        self._ready: deque[Callable[[], None]] = deque()
         self._live: dict[SimProcess, None] = {}  # insertion-ordered set
-        self._trace: Optional[Callable[[float, str], None]] = None
         #: instrumentation counters (read by repro.prof; cheap to maintain)
         self.events_fired = 0
         self.processes_spawned = 0
@@ -214,11 +220,20 @@ class Engine:
     # -- scheduling primitives ------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` simulated seconds."""
+        """Run ``fn()`` after ``delay`` simulated seconds.
+
+        An event that does not move the clock (``now + delay == now``) joins
+        the ready queue; any other goes on the heap.
+        """
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        now = self.now
+        t = now + delay
+        if t == now:
+            self._ready.append(fn)
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (t, self._seq, fn))
 
     def future(self, name: str = "") -> SimFuture:
         return SimFuture(self, name)
@@ -227,7 +242,7 @@ class Engine:
         """A future that resolves after ``delay`` sim-seconds.
 
         The future may be resolved earlier by the caller (``set_result`` /
-        ``cancel``) without harm: the scheduled heap entry checks ``done``
+        ``cancel``) without harm: the scheduled event checks ``done``
         before firing, so a timer abandoned by a race (ack-before-timeout)
         never resolves twice.
         """
@@ -299,7 +314,7 @@ class Engine:
 
     def _dispatch(self, proc: SimProcess, cmd: Any) -> None:
         # Resumptions from futures/processes are trampolined through the
-        # event heap (at the current time) rather than run synchronously:
+        # ready queue (at the current time) rather than run synchronously:
         # long chains of already-resolved futures would otherwise recurse
         # arbitrarily deep through set_result -> callback -> step -> ...
         if isinstance(cmd, Delay):
@@ -340,21 +355,36 @@ class Engine:
     # -- running ---------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; return the final simulated time.
+        """Fire events until none is left; return the final simulated time.
 
-        Raises :class:`SimulationDeadlock` if processes remain alive with an
-        empty heap (they are waiting on futures nobody will resolve).
+        At each time the heap's entries for ``now`` fire first, then the
+        ready queue drains, and only then does the clock advance.  A heap
+        entry for ``now`` was pushed before the clock reached ``now``, so
+        its seq is lower than that of anything in the ready queue: this is
+        the heap's ``(time, seq)`` order.
+
+        Raises :class:`SimulationDeadlock` if processes remain alive with no
+        event left (they are waiting on futures nobody will resolve).
         """
-        while self._heap:
-            t, _seq, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        ready = self._ready
+        heappop = heapq.heappop
+        popleft = ready.popleft
+        while True:
+            while heap and heap[0][0] == self.now:
+                self.events_fired += 1
+                heappop(heap)[2]()
+            while ready:
+                self.events_fired += 1
+                popleft()()
+            if not heap:
+                break
+            t = heap[0][0]
             if until is not None and t > until:
-                # put it back; stop the clock at `until`
-                heapq.heappush(self._heap, (t, _seq, fn))
+                # stop the clock at `until`; the entry stays queued
                 self.now = until
                 return self.now
             self.now = t
-            self.events_fired += 1
-            fn()
         if self._live:
             blocked = [(p.name, _describe_wait(p._blocked_on))
                        for p in self._live]

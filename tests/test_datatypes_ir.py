@@ -11,7 +11,10 @@ Three families of guarantees:
   zero counts, zero-length blocks, overlapping displacements and deep
   nesting);
 - **structure**: plan sharing across equal instances, op-count shape of
-  optimized vs deoptimized lowering, and the compile-cache counters.
+  optimized vs deoptimized lowering, and the compile-cache counters;
+- **plan-relative buffers**: a ``TypedBuffer`` is ``(plan, offset)``: it
+  moves the legacy bytes at any offset, checks both bounds exactly, and
+  builds no ``BlockList`` unless its absolute ``blocks`` are read.
 """
 
 import numpy as np
@@ -23,7 +26,9 @@ from repro.datatypes import (
     BYTE,
     DOUBLE,
     INT,
+    BlockList,
     Contiguous,
+    DatatypeError,
     HIndexed,
     HVector,
     Indexed,
@@ -33,8 +38,10 @@ from repro.datatypes import (
     Subarray,
     TypedBuffer,
     Vector,
+    engine_for,
     ir,
 )
+from repro.util.costmodel import CostModel
 
 D = DOUBLE
 
@@ -405,3 +412,76 @@ def test_plan_info_feeds_layout_summary():
     assert info["ir_ops"] == 4
     assert info["ir_raw_blocks"] == 32
     assert 0.0 <= info["ir_coalesced_ratio"] <= 1.0
+
+
+# -- plan-relative TypedBuffer --------------------------------------------------
+
+@given(datatype_tree(), st.integers(1, 3), st.integers(0, 70))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_any_offset_matches_legacy(dt, count, offset):
+    # offsets that break the element granularity take the byte-level paths
+    roundtrip_identical(dt, count=count, offset_bytes=offset)
+
+
+@given(datatype_tree(), st.integers(1, 3), st.integers(0, 70))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_bounds_and_absolute_blocks(dt, count, offset):
+    plan = ir.compile_datatype(dt, count)
+    end = offset + plan.hi
+    tb = TypedBuffer(np.zeros(end, dtype=np.uint8), dt, count=count,
+                     offset_bytes=offset)
+    shifted = plan.blocks.shifted(offset)
+    assert tb.nbytes == shifted.size
+    assert tb.num_blocks == shifted.num_blocks
+    assert np.array_equal(tb.blocks.offsets, shifted.offsets)
+    assert np.array_equal(tb.blocks.lengths, shifted.lengths)
+    assert end == int((shifted.offsets + shifted.lengths).max())
+    assert offset + plan.lo == int(shifted.offsets.min()) >= 0
+    with pytest.raises(DatatypeError, match="buffer too small"):
+        TypedBuffer(np.zeros(end - 1, dtype=np.uint8), dt, count=count,
+                    offset_bytes=offset)
+
+
+def test_building_a_typed_buffer_constructs_no_blocklist(monkeypatch):
+    dt = Vector(5, 2, 7, D)
+    ir.compile_datatype(dt, 3)  # the plan's own BlockList is built here
+    calls = []
+    init = BlockList.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockList, "__init__", counting_init)
+    tb = TypedBuffer(np.zeros(4096, dtype=np.uint8), dt, count=3,
+                     offset_bytes=40)
+    tb.nbytes, tb.num_blocks, tb.is_contiguous(), tb.layout_summary()
+    engine_for(tb, CostModel(), dual_context=False).plan()
+    tb.unpack(tb.pack())
+    assert calls == []
+    # the absolute offsets are built on first read only, then cached
+    assert tb.blocks is tb.blocks
+    assert len(calls) == 1
+
+
+def test_layout_before_byte_zero_is_an_underrun():
+    buf = np.arange(8.0)
+    with pytest.raises(DatatypeError, match="buffer underrun"):
+        TypedBuffer(buf, HIndexed([1, 1], [-8, 8], D))
+    with pytest.raises(DatatypeError, match="buffer underrun"):
+        TypedBuffer(buf, D, 2, offset_bytes=-8)
+    with pytest.raises(DatatypeError, match="buffer underrun"):
+        TypedBuffer(buf, HIndexed([1, 1], [-8, 8], D), offset_bytes=7)
+
+
+def test_negative_displacement_inside_the_buffer_is_legal():
+    buf = np.arange(8.0)
+    dt = HIndexed([1, 1], [-8, 8], D)
+    at_zero = TypedBuffer(buf, dt, offset_bytes=8)
+    assert at_zero.pack().view(np.float64).tolist() == [0.0, 2.0]
+    inside = TypedBuffer(buf, dt, offset_bytes=16)
+    assert inside.pack().view(np.float64).tolist() == [1.0, 3.0]
+    assert inside.pack().tobytes() == pack_legacy(inside).tobytes()
+    out = TypedBuffer(np.zeros(8), dt, offset_bytes=16)
+    out.unpack(np.array([5.0, 6.0]).view(np.uint8))
+    assert out.buffer.tolist() == [0, 5.0, 0, 6.0, 0, 0, 0, 0]

@@ -102,6 +102,30 @@ def test_truncation_event_fires_before_error():
     assert "match" not in obs.names()        # the bind failed
 
 
+def test_hooks_bind_on_the_first_observer():
+    """Without observers the notifications are no-ops and the wire has no
+    cluster listener; observers attached later see every event, once."""
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.zeros(4), dest=1)
+        else:
+            yield from comm.recv(np.zeros(4), source=0)
+
+    cluster = make_cluster(2)
+    assert cluster.net._transfer_listeners == []
+    cluster.run(main)
+    first, second = RecordingObserver(), RecordingObserver()
+    cluster.add_observer(first)
+    cluster.add_observer(second)
+    assert len(cluster.net._transfer_listeners) == 1
+    cluster.run(main)
+    assert first.events == second.events
+    assert first.names().count("transfer") == 1
+    assert {"send_posted", "recv_posted", "match", "request",
+            "transfer"} <= set(first.names())
+
+
 def test_observers_do_not_require_every_hook():
     """An observer implementing a subset of the hooks is fine."""
 
